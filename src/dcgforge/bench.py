@@ -57,6 +57,12 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_system < 1:
+            raise ValueError("n_system must be >= 1")
+        values = (self.gamma, self.tau, *self.a_values, *self.epsilon_values)
+        if not all(np.isfinite(v) for v in values):
+            raise ValueError("gamma, tau, couplings and epsilons must be "
+                             "finite")
         if self.gamma < 0 or any(a < 0 for a in self.a_values):
             raise ValueError("gamma and coupling strengths must be >= 0")
         if self.tau <= 0:
@@ -64,8 +70,10 @@ class BenchConfig:
         for mode in self.modes:
             if mode not in ("primitive", "dcg"):
                 raise ValueError(f"unknown mode {mode!r}")
-        if self.bath_state not in ("maximally_mixed", "basis_average",
-                                   "pure_sample"):
+        if self.bath_state == "basis_average":
+            # averaging the basis states is the same mixture as I/d
+            object.__setattr__(self, "bath_state", "maximally_mixed")
+        if self.bath_state not in ("maximally_mixed", "pure_sample"):
             raise ValueError(f"unknown bath state {self.bath_state!r}")
 
     def canonical_text(self) -> str:
@@ -171,8 +179,7 @@ def _bath_pure_vector(cfg: BenchConfig) -> np.ndarray:
 def bath_density(cfg: BenchConfig) -> np.ndarray:
     """Initial bath density matrix per the configured preparation."""
     d_b = 2 ** cfg.n_bath
-    if cfg.bath_state in ("maximally_mixed", "basis_average"):
-        # averaging the basis states is the same mixture as I/d
+    if cfg.bath_state == "maximally_mixed":
         return np.eye(d_b, dtype=complex) / d_b
     chi = _bath_pure_vector(cfg)
     return np.outer(chi, chi.conj())

@@ -104,6 +104,8 @@ def _parse_tau_sweep(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("tau sweep needs start:stop:points")
     start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError("tau sweep bounds must be finite")
     if start <= 0 or stop <= 0 or points < 2:
         raise ValueError("tau sweep needs positive taus and >= 2 points")
     return np.geomspace(start, stop, points)
@@ -113,6 +115,8 @@ def _cmd_epg(args) -> int:
     try:
         gate = parse_gate(args.gate)
         taus = _parse_tau_sweep(args.tau_sweep)
+        if not (np.isfinite(args.coupling) and np.isfinite(args.bath_norm)):
+            raise ValueError("--coupling and --bath-norm must be finite")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

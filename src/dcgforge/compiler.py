@@ -6,8 +6,12 @@ pi-pulses do exactly this).  The corrected compilation maps the Eulerian
 path of the modified Cayley graph onto pulses: generator edges become
 collective pi-pulses of one slot, identity-block edges become the
 two-lobe echo of the gate's own generators, and the final gate-block edge
-becomes the stretched gate, for 16 slots per primitive.  Idle qubits carry
-explicit zero-amplitude segments so every window covers the full register.
+becomes the stretched gate, for 16 slots per primitive.  Every block is
+built by the ``pulses`` builders (``primitive_gate`` for slots and
+pi-pulses, ``matched_identity_sequence`` / ``matched_gate_sequence`` for the
+echo and the stretched gate) and blocks are joined with ``concatenate``.
+Idle qubits carry explicit zero-amplitude segments so every window covers
+the full register.
 """
 from __future__ import annotations
 
@@ -17,10 +21,11 @@ from math import pi
 import numpy as np
 
 from . import graphs
-from .operators import PAULIS, expm_unitary
-from .pulses import (ControlSegment, Generator, PulseSequence, PulseShape,
-                     RECTANGULAR, matched_gate_sequence,
-                     matched_identity_sequence, noop_on, x_on, y_on, zz_on)
+from .operators import expm_unitary
+from .pulses import (Generator, PulseSequence, PulseShape, RECTANGULAR,
+                     concatenate, matched_gate_sequence,
+                     matched_identity_sequence, noop_on, primitive_gate, x_on,
+                     y_on, zz_on)
 
 HADAMARD_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 CNOT_MATRIX = np.array(
@@ -64,10 +69,6 @@ class PrimitiveSpec:
                     raise ValueError("simultaneous actions must act on "
                                      "disjoint qubits")
                 seen.append(q)
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(q for gen, _ in self.actions for q in gen.qubits)
 
 
 def embed_gate(u: np.ndarray, qubits: tuple[int, ...],
@@ -141,23 +142,36 @@ def spec_unitary(spec: PrimitiveSpec, n_system: int) -> np.ndarray:
     return expm_unitary(h)
 
 
-def _idle_segments(t_start, duration, busy, n_system, shape, epsilon):
-    return [
-        ControlSegment(t_start, duration, noop_on(qb), 0.0, shape, False,
-                       epsilon)
-        for qb in range(n_system) if qb not in busy
-    ]
+def _block(segments, windows, n_system, tau, shape, epsilon):
+    """Run ``segments`` in parallel and give every qubit they leave idle a
+    zero-amplitude segment in each ``(t_start, duration)`` window."""
+    busy = {q for s in segments for q in s.generator.qubits}
+    idle = [primitive_gate(noop_on(q), 0.0, dt, n_system, shape, epsilon, t0)
+            for t0, dt in windows for q in range(n_system) if q not in busy]
+    return PulseSequence(tuple(segments) + tuple(idle), n_system, tau)
 
 
-def _pi_pulse_window(t_start, tau, axis, n_system, shape, epsilon):
+def _primitive_slot(spec, n_system, tau, shape, epsilon):
+    segments = [primitive_gate(gen, area, tau, n_system, shape, epsilon)
+                for gen, area in spec.actions]
+    return _block(segments, ((0.0, tau),), n_system, tau, shape, epsilon)
+
+
+def _pi_pulse_slot(axis, n_system, tau, shape, epsilon):
     """Collective pi-pulse: every qubit rotates by pi about ``axis``."""
-    amplitude = (pi / 2) / (tau * shape.integral)
     gen_of = {"X": x_on, "Y": y_on}[axis]
-    return [
-        ControlSegment(t_start, tau, gen_of(qb), amplitude, shape, False,
-                       epsilon)
-        for qb in range(n_system)
-    ]
+    spec = PrimitiveSpec(tuple((gen_of(q), pi / 2) for q in range(n_system)))
+    return _primitive_slot(spec, n_system, tau, shape, epsilon)
+
+
+def _matched_block(builder, spec, n_system, tau, shape, epsilon):
+    """One matched-pair sequence per action, all in parallel, over 2*tau."""
+    parts = [builder(area / (2 * tau * shape.integral), tau, gen, n_system,
+                     shape, epsilon)
+             for gen, area in spec.actions]
+    windows = [(s.t_start, s.duration) for s in parts[0].segments]
+    return _block([s for part in parts for s in part.segments], windows,
+                  n_system, tau, shape, epsilon)
 
 
 def compile_noop(n_system: int, tau: float, shape: PulseShape = RECTANGULAR,
@@ -165,41 +179,9 @@ def compile_noop(n_system: int, tau: float, shape: PulseShape = RECTANGULAR,
     """Idle decoupling: the 8-edge Eulerian cycle as collective pi-pulses."""
     rep = graphs.dd_group_z2z2(n_system)
     walk = graphs.eulerian_cycle(graphs.cayley_graph(rep))
-    segments = []
-    t = 0.0
-    for edge in walk.edges:
-        segments += _pi_pulse_window(t, tau, edge.label, n_system, shape,
-                                     epsilon)
-        t += tau
-    return PulseSequence(tuple(segments), n_system, tau)
-
-
-def _m_i_block(t_start, tau, spec, n_system, shape, epsilon):
-    """Two-lobe echo of the primitive's generators; idles elsewhere."""
-    segments = []
-    for gen, area in spec.actions:
-        amp = area / (2 * tau * shape.integral)
-        segments.append(ControlSegment(t_start, tau, gen, 2 * amp, shape,
-                                       False, epsilon))
-        segments.append(ControlSegment(t_start + tau, tau, gen, -2 * amp,
-                                       shape, True, epsilon))
-    busy = spec.qubits
-    segments += _idle_segments(t_start, tau, busy, n_system, shape, epsilon)
-    segments += _idle_segments(t_start + tau, tau, busy, n_system, shape,
-                               epsilon)
-    return segments
-
-
-def _m_u_block(t_start, tau, spec, n_system, shape, epsilon):
-    """Stretched gate over two slots; idles elsewhere."""
-    segments = []
-    for gen, area in spec.actions:
-        amp = area / (2 * tau * shape.integral)
-        segments.append(ControlSegment(t_start, 2 * tau, gen, amp, shape,
-                                       False, epsilon))
-    segments += _idle_segments(t_start, 2 * tau, spec.qubits, n_system,
-                               shape, epsilon)
-    return segments
+    return concatenate(
+        [_pi_pulse_slot(edge.label, n_system, tau, shape, epsilon)
+         for edge in walk.edges], n_system, tau)
 
 
 def compile_dcg_spec(spec: PrimitiveSpec, n_system: int, tau: float,
@@ -211,20 +193,18 @@ def compile_dcg_spec(spec: PrimitiveSpec, n_system: int, tau: float,
     rep = graphs.dd_group_z2z2(n_system)
     graph = graphs.modify_graph_for_gate(graphs.cayley_graph(rep))
     walk = graphs.eulerian_path(graph)
-    segments = []
-    t = 0.0
+    blocks = []
     for edge in walk.edges:
         if edge.label in rep.generators:
-            segments += _pi_pulse_window(t, tau, edge.label, n_system, shape,
-                                         epsilon)
-            t += tau
-        elif edge.label == graphs.M_I_LABEL:
-            segments += _m_i_block(t, tau, spec, n_system, shape, epsilon)
-            t += 2 * tau
+            blocks.append(_pi_pulse_slot(edge.label, n_system, tau, shape,
+                                         epsilon))
         else:
-            segments += _m_u_block(t, tau, spec, n_system, shape, epsilon)
-            t += 2 * tau
-    return PulseSequence(tuple(segments), n_system, tau)
+            builder = (matched_identity_sequence
+                       if edge.label == graphs.M_I_LABEL
+                       else matched_gate_sequence)
+            blocks.append(_matched_block(builder, spec, n_system, tau, shape,
+                                         epsilon))
+    return concatenate(blocks, n_system, tau)
 
 
 def compile_dcg(gate: Gate, n_system: int, tau: float,
@@ -240,17 +220,6 @@ def compile_dcg(gate: Gate, n_system: int, tau: float,
     return compile_dcg_spec(spec, n_system, tau, shape, epsilon)
 
 
-def _primitive_window(t_start, tau, spec, n_system, shape, epsilon):
-    segments = []
-    for gen, area in spec.actions:
-        amp = area / (tau * shape.integral)
-        segments.append(ControlSegment(t_start, tau, gen, amp, shape, False,
-                                       epsilon))
-    segments += _idle_segments(t_start, tau, spec.qubits, n_system, shape,
-                               epsilon)
-    return segments
-
-
 def compile_circuit(circuit: list[Gate], mode: str, n_system: int,
                     tau: float, shape: PulseShape = RECTANGULAR,
                     epsilon: float = 0.0) -> PulseSequence:
@@ -259,31 +228,15 @@ def compile_circuit(circuit: list[Gate], mode: str, n_system: int,
     ``mode`` is "primitive" or "dcg".  Gates are decomposed first, so a
     circuit with Hadamard and CNOT gates costs 2 and 6 primitives each.
     """
-    if mode not in ("primitive", "dcg"):
+    compile_spec = {"primitive": _primitive_slot,
+                    "dcg": compile_dcg_spec}.get(mode)
+    if compile_spec is None:
         raise ValueError(f"unknown mode {mode!r}")
-    segments = []
-    t = 0.0
-    for gate in circuit:
-        for spec in decompose_gate(gate):
-            if mode == "primitive":
-                if spec.actions:
-                    segments += _primitive_window(t, tau, spec, n_system,
-                                                  shape, epsilon)
-                else:
-                    segments += _idle_segments(t, tau, (), n_system, shape,
-                                               epsilon)
-                t += tau
-            else:
-                block = compile_dcg_spec(spec, n_system, tau, shape, epsilon)
-                for seg in block.segments:
-                    segments.append(ControlSegment(
-                        t + seg.t_start, seg.duration, seg.generator,
-                        seg.amplitude, seg.shape, seg.time_reversed,
-                        seg.epsilon))
-                t += block.total_duration
-    if not segments:
+    blocks = [compile_spec(spec, n_system, tau, shape, epsilon)
+              for gate in circuit for spec in decompose_gate(gate)]
+    if not blocks:
         raise ValueError("empty circuit compiles to no segments")
-    return PulseSequence(tuple(segments), n_system, tau)
+    return concatenate(blocks, n_system, tau)
 
 
 def circuit_unitary(circuit: list[Gate], n_system: int) -> np.ndarray:

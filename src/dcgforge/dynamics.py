@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .operators import (HermitianEvolution, hermitian_log, is_hermitian,
-                        mod_bath, pauli_bath_components, pauli_string_matrix,
-                        pauli_string_weight, spectral_norm)
+                        mod_bath, pauli_string_matrix, pauli_string_weight,
+                        spectral_norm)
 from .pulses import PulseSequence, intended_unitary
 
 
@@ -87,31 +87,38 @@ class ErrorModel:
         return replace(self, h_bath=scaled_bath, couplings=scaled_cpl)
 
 
-def _window_control(segs, n_system, t_mid=None, realized=True):
-    """Control Hamiltonian matrix for one window.
-
-    With ``t_mid`` None the window must be rectangular and the constant
-    value is returned; otherwise the profile is sampled at ``t_mid``.
-    """
+def _window_controls(segs, n_system, times, realized):
+    """Control Hamiltonian of one window at each absolute time in ``times``."""
     dim = 2 ** n_system
-    h = np.zeros((dim, dim), dtype=complex)
-    for s in segs:
-        if s.generator.kind == "noop":
-            continue
-        if t_mid is None:
-            value = s.amplitude * (1.0 + s.epsilon if realized else 1.0)
-        else:
-            value = s.profile_value(t_mid, realized=realized)
-        h = h + value * s.generator.matrix(n_system)
-    return h
+    for t in times:
+        h = np.zeros((dim, dim), dtype=complex)
+        for s in segs:
+            if s.generator.kind != "noop":
+                h = h + (s.profile_value(t, realized)
+                         * s.generator.matrix(n_system))
+        yield h
 
 
-def _window_pieces(t0, t1, segs, rectangular, substeps):
-    """(start, duration) subdivisions: one piece if exactly constant."""
-    if rectangular:
-        return [(t0, t1 - t0)]
-    dt = (t1 - t0) / substeps
-    return [(t0 + k * dt, dt) for k in range(substeps)]
+def _walk_windows(seq, substeps, realized):
+    """Yield ``(key, dt, controls)`` per window of ``seq`` in time order.
+
+    A rectangular window is one exact piece; other shapes are ``substeps``
+    midpoint-sampled pieces.  ``controls`` yields each piece's control
+    Hamiltonian only when iterated.  Windows with equal ``key`` have equal
+    control and duration, hence equal propagators.
+    """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    for t0, t1, segs in seq.windows():
+        key = tuple(
+            (s.generator.kind, s.generator.qubits, s.amplitude,
+             s.shape.name, s.time_reversed, s.epsilon, s.duration)
+            for s in segs)
+        rectangular = all(s.shape.name == "rectangular" for s in segs)
+        n_pieces = 1 if rectangular else substeps
+        dt = (t1 - t0) / n_pieces
+        times = [t0 + k * dt + dt / 2 for k in range(n_pieces)]
+        yield key, dt, _window_controls(segs, seq.n_system, times, realized)
 
 
 def propagate(seq: PulseSequence, em: ErrorModel,
@@ -122,31 +129,18 @@ def propagate(seq: PulseSequence, em: ErrorModel,
     single exponential each; other shapes use midpoint sampling with
     ``substeps`` pieces per window.  Repeated windows share exponentials.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
     h_err = em.hamiltonian()
-    d_b = 2 ** em.n_bath
-    eye_b = np.eye(d_b)
+    eye_b = np.eye(2 ** em.n_bath)
     u = np.eye(em.dim, dtype=complex)
     cache: dict = {}
-    for t0, t1, segs in seq.windows():
-        rectangular = all(s.shape.name == "rectangular" for s in segs)
-        key = tuple(
-            (s.generator.kind, s.generator.qubits, s.amplitude,
-             s.shape.name, s.time_reversed, s.epsilon, s.duration)
-            for s in segs)
-        if key in cache:
-            u = cache[key] @ u
-            continue
-        u_window = np.eye(em.dim, dtype=complex)
-        for start, dt in _window_pieces(t0, t1, segs, rectangular, substeps):
-            h_c = _window_control(
-                segs, seq.n_system,
-                t_mid=None if rectangular else start + dt / 2, realized=True)
-            h_joint = np.kron(h_c, eye_b) + h_err
-            u_window = HermitianEvolution(h_joint).unitary(dt) @ u_window
-        cache[key] = u_window
-        u = u_window @ u
+    for key, dt, controls in _walk_windows(seq, substeps, realized=True):
+        if key not in cache:
+            u_window = np.eye(em.dim, dtype=complex)
+            for h_c in controls:
+                h_joint = np.kron(h_c, eye_b) + h_err
+                u_window = HermitianEvolution(h_joint).unitary(dt) @ u_window
+            cache[key] = u_window
+        u = cache[key] @ u
     return u
 
 
@@ -172,12 +166,8 @@ def first_order_phase(seq: PulseSequence, em: ErrorModel,
     frame = np.eye(em.dim, dtype=complex)
     phi = np.zeros((em.dim, em.dim), dtype=complex)
     h_err_t = h_err.reshape(d_s, d_b, d_s, d_b)
-    for t0, t1, segs in seq.windows():
-        rectangular = all(s.shape.name == "rectangular" for s in segs)
-        for start, dt in _window_pieces(t0, t1, segs, rectangular, substeps):
-            h_c = _window_control(
-                segs, seq.n_system,
-                t_mid=None if rectangular else start + dt / 2, realized=False)
+    for _, dt, controls in _walk_windows(seq, substeps, realized=False):
+        for h_c in controls:
             evo = HermitianEvolution(h_c)
             v = evo.eigenvectors
             # error operator in the window eigenbasis, system indices only
@@ -224,7 +214,6 @@ class ErrorPhaseReport:
     phi_first_modB: np.ndarray
     epg_exact: float
     epg_first: float
-    pauli_components: dict[str, np.ndarray]
 
 
 def error_phase(seq: PulseSequence, em: ErrorModel,
@@ -259,7 +248,6 @@ def error_phase(seq: PulseSequence, em: ErrorModel,
         phi_first_modB=first_modb,
         epg_exact=spectral_norm(exact_modb),
         epg_first=spectral_norm(first_modb),
-        pauli_components=pauli_bath_components(exact_modb, seq.n_system),
     )
 
 

@@ -14,7 +14,7 @@ any static system-bath Hamiltonian, while only the second one rotates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -129,10 +129,13 @@ class ControlSegment:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not 0 < self.duration < np.inf:
+            raise ValueError("segment duration must be positive and finite, "
+                             f"got {self.duration}")
         if not np.isfinite(self.amplitude):
             raise ValueError("segment amplitude must be finite")
+        if not np.isfinite(self.epsilon):
+            raise ValueError("segment epsilon must be finite")
 
     @property
     def t_end(self) -> float:

@@ -136,6 +136,7 @@ def test_bath_state_variants():
     mixed = BenchConfig(n_bath=2, bath_state="maximally_mixed")
     averaged = BenchConfig(n_bath=2, bath_state="basis_average")
     assert np.array_equal(bath_density(mixed), bath_density(averaged))
+    assert averaged == mixed and averaged.digest() == mixed.digest()
     assert np.trace(bath_density(mixed)) == pytest.approx(1.0)
     pure1 = BenchConfig(n_bath=2, bath_state="pure_sample", seed=1)
     pure2 = BenchConfig(n_bath=2, bath_state="pure_sample", seed=2)
@@ -187,6 +188,10 @@ def test_parse_config_errors():
         parse_config("shape = square\n")
     with pytest.raises(ValueError):
         parse_config("modes = dcg,fancy\n")
+    for text in ("gamma = nan\n", "tau = nan\n", "n_system = 0\n",
+                 "a_values = nan\n", "epsilon_values = nan\n"):
+        with pytest.raises(ValueError):
+            parse_config(text)
 
 
 def _strip_wall_time(text):

@@ -52,9 +52,14 @@ def test_sweep_missing_config(tmp_path, capsys):
 
 def test_sweep_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_factor = 9\n")
-    assert main(["sweep", "--config", str(cfg)]) == 2
-    assert "config error" in capsys.readouterr().err
+    for text in ("warp_factor = 9\n", "gamma = nan\n", "tau = nan\n",
+                 "n_system = 0\n", "a_values = nan\n",
+                 "epsilon_values = nan\n"):
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == 2, text
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""  # rejected before the CSV header
 
 
 def test_compile_output_parses_back(tmp_path):
@@ -79,6 +84,11 @@ def test_compile_bad_gate(capsys):
     assert main(["compile", "--gate", "h:0", "--mode", "dcg"]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["compile", "--gate", "zz:0,1", "--mode", "dcg"]) == 2
+    assert main(["compile", "--gate", "x:0:0.5", "--mode", "dcg",
+                 "--epsilon", "nan"]) == 2
+    assert main(["compile", "--gate", "x:0:0.5", "--mode", "primitive",
+                 "--tau", "inf"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_epg_csv(capsys):
@@ -101,6 +111,12 @@ def test_epg_bad_tau_sweep(capsys):
                  "--tau-sweep", "0.25:0.0625:1"]) == 2
     assert main(["epg", "--gate", "borked", "--mode", "dcg",
                  "--tau-sweep", "0.25:0.0625:3"]) == 2
+    assert main(["epg", "--gate", "zz:0,1:0.6", "--mode", "dcg",
+                 "--tau-sweep", "nan:0.1:2"]) == 2
+    assert main(["epg", "--gate", "zz:0,1:0.6", "--mode", "dcg",
+                 "--tau-sweep", "0.25:0.0625:3", "--coupling", "nan"]) == 2
+    assert main(["epg", "--gate", "zz:0,1:0.6", "--mode", "dcg",
+                 "--tau-sweep", "0.25:0.0625:3", "--bath-norm", "inf"]) == 2
 
 
 def test_console_script_runs():

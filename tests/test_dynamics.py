@@ -4,7 +4,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from dcgforge.compiler import Gate, compile_dcg, compile_noop
+from dcgforge.compiler import (Gate, compile_dcg, compile_dcg_spec,
+                               compile_noop, decompose_gate)
 from dcgforge.dynamics import (ErrorModel, combine_first_order, epg,
                                error_phase, first_order_phase, propagate,
                                random_error_model)
@@ -138,6 +139,15 @@ def test_propagate_rectangular_independent_of_substeps():
     assert spectral_norm(u64 - u8) <= 1e-13
 
 
+def test_substeps_must_be_positive():
+    em = random_error_model(1, 1, np.random.default_rng(55))
+    for shape in (RECTANGULAR, TRIANGULAR):
+        seq = matched_identity_sequence(0.7, 1.0, x_on(0), 1, shape)
+        for walk in (propagate, first_order_phase):
+            with pytest.raises(ValueError):
+                walk(seq, em, substeps=0)
+
+
 def test_propagate_triangular_converges_in_substeps():
     rng = np.random.default_rng(44)
     em = random_error_model(1, 1, rng, coupling=0.3, bath=0.3)
@@ -210,6 +220,11 @@ def test_first_order_cancellation_all_gates():
                 Gate(gate.kind, gate.qubits, theta), 2, 1.0)
             residual = spectral_norm(mod_bath(first_order_phase(seq, em), 2))
             assert residual <= 1e-10, (gate.kind, theta, residual)
+    # the CNOT slot driving two qubits at once, with qubit 1 idle
+    em3 = random_error_model(3, 1, rng)
+    seq = compile_dcg_spec(decompose_gate(Gate("cnot", (0, 2)))[3], 3, 1.0)
+    residual = spectral_norm(mod_bath(first_order_phase(seq, em3), 3))
+    assert residual <= 1e-10, ("cnot slot", residual)
 
 
 def test_uncorrected_gate_does_not_cancel():
