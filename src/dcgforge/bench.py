@@ -11,19 +11,28 @@ compiles the standard cat-state circuit (Hadamard plus two CNOTs) in
 primitive or corrected mode, propagates |000><000| times the bath state
 exactly, traces out the bath, and reports 1 - sqrt(<cat|rho_out|cat>).
 
+With the bath spins' total spin S, the bath term is
+Gamma * (2*S^2 - 1.5*n_bath) and the coupling is A * sum_i sigma_vec(i) .
+(2*S), so H_e commutes with S^2.  A maximally mixed bath is therefore scored
+exactly through the total-spin sectors: one spin-J model of joint dimension
+2**n_system * (2J+1) per J, weighted by the number of times the sector
+occurs.  A pure_sample bath mixes the sectors and is propagated densely in
+the 2**(n_system + n_bath) joint space.
+
 Times are in units of the slot duration tau = 1.
 """
 from __future__ import annotations
 
 import hashlib
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .compiler import Gate, compile_circuit
-from .dynamics import ErrorModel, propagate
+from .dynamics import ErrorModel, check_dense_dim, propagate
 from .operators import embed_pauli, partial_trace_bath
 from .pulses import PulseShape, RECTANGULAR, SHAPES
 
@@ -59,6 +68,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.n_system < 1:
             raise ValueError("n_system must be >= 1")
+        if self.n_bath < 0:
+            raise ValueError("n_bath must be >= 0")
         values = (self.gamma, self.tau, *self.a_values, *self.epsilon_values)
         if not all(np.isfinite(v) for v in values):
             raise ValueError("gamma, tau, couplings and epsilons must be "
@@ -75,6 +86,11 @@ class BenchConfig:
             object.__setattr__(self, "bath_state", "maximally_mixed")
         if self.bath_state not in ("maximally_mixed", "pure_sample"):
             raise ValueError(f"unknown bath state {self.bath_state!r}")
+        if self.bath_state == "pure_sample":
+            check_dense_dim(self.n_system + self.n_bath)
+        else:
+            # the largest sector, J = n_bath/2
+            check_dense_dim(self.n_system, self.n_bath + 1)
 
     def canonical_text(self) -> str:
         items = [
@@ -136,6 +152,7 @@ def build_bath_hamiltonian(cfg: BenchConfig, a_value: float) -> ErrorModel:
     list has one entry per (system qubit, bath spin, axis), 45 for the
     default sizes.
     """
+    check_dense_dim(cfg.n_system + cfg.n_bath)
     d_b = 2 ** cfg.n_bath
     h_bath = np.zeros((d_b, d_b), dtype=complex)
     for a in range(cfg.n_bath):
@@ -152,7 +169,51 @@ def build_bath_hamiltonian(cfg: BenchConfig, a_value: float) -> ErrorModel:
                     axis if k == i else "i" for k in range(cfg.n_system))
                 couplings.append(
                     (string, a_value * embed_pauli(axis, a, cfg.n_bath)))
-    return ErrorModel(cfg.n_system, cfg.n_bath, h_bath, tuple(couplings))
+    return ErrorModel(cfg.n_system, d_b, h_bath, tuple(couplings))
+
+
+def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-J matrices (S_x, S_y, S_z) for J = two_j/2, in the basis
+    m = J, J-1, ..., -J."""
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    # S_+ |m> = sqrt(J(J+1) - m(m+1)) |m+1>
+    raising = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1)
+    return ((raising + raising.T) / 2 + 0j, (raising - raising.T) / 2j,
+            np.diag(m) + 0j)
+
+
+def spin_multiplicity(n_spins: int, two_j: int) -> int:
+    """Number of times total spin J = two_j/2 occurs among n_spins spin-1/2s,
+    (2J+1)/(N/2+J+1) * C(N, N/2-J)."""
+    return ((two_j + 1) * math.comb(n_spins, (n_spins - two_j) // 2)
+            // ((n_spins + two_j) // 2 + 1))
+
+
+def sector_models(cfg: BenchConfig, a_value: float
+                  ) -> list[tuple[int, ErrorModel]]:
+    """(multiplicity, model) per bath total-spin sector, J = n_bath/2 down.
+
+    Within sector J the bath term is Gamma * (2J(J+1) - 1.5*n_bath) times
+    the identity and each (system qubit, axis) coupling is 2A * S_axis, so a
+    model has 3 * n_system couplings of dimension 2J+1.
+    """
+    models = []
+    for two_j in range(cfg.n_bath, -1, -2):
+        spins = dict(zip("xyz", spin_matrices(two_j)))
+        # sum over bath pairs of sigma(a) . sigma(b), 2J(J+1) - 1.5*n_bath
+        pair_sum = two_j * (two_j + 2) / 2 - 1.5 * cfg.n_bath
+        h_bath = cfg.gamma * pair_sum * np.eye(two_j + 1, dtype=complex)
+        couplings = []
+        for i in range(cfg.n_system):
+            for axis in "xyz":
+                string = "".join(
+                    axis if k == i else "i" for k in range(cfg.n_system))
+                couplings.append((string, 2 * a_value * spins[axis]))
+        models.append((spin_multiplicity(cfg.n_bath, two_j),
+                       ErrorModel(cfg.n_system, two_j + 1, h_bath,
+                                  tuple(couplings))))
+    return models
 
 
 def cat_circuit(n_system: int = 3) -> list[Gate]:
@@ -204,25 +265,38 @@ def _cat_complement(n_system: int) -> np.ndarray:
     return vecs[:, vals > 0.5]
 
 
-def _infidelity_from_unitary(u: np.ndarray, cfg: BenchConfig) -> float:
-    """1 - <cat|rho_out|cat> without forming rho_out.
+def _leak(u: np.ndarray, n_system: int, bath_dim: int) -> np.ndarray:
+    """Components of ``u`` in the cat-orthogonal system subspace.
 
-    The overlap deficit equals the weight the evolved initial state leaks
-    into the cat-orthogonal system subspace.  Summing those squared
-    amplitudes directly avoids the catastrophic cancellation that hits
-    1 - overlap once the loss approaches machine precision.
+    1 - <cat|rho_out|cat> is the weight the evolved initial state leaks
+    there.  Summing those squared amplitudes directly avoids the
+    catastrophic cancellation that hits 1 - overlap once the loss approaches
+    machine precision.  The initial system state |0...0> occupies the first
+    ``bath_dim`` joint columns.
     """
+    return np.kron(_cat_complement(n_system).conj().T, np.eye(bath_dim)) @ u
+
+
+def _infidelity_from_unitary(u: np.ndarray, cfg: BenchConfig) -> float:
+    """1 - <cat|rho_out|cat> for the pure bath sample, from the dense
+    joint unitary."""
     d_b = 2 ** cfg.n_bath
-    leak = np.kron(_cat_complement(cfg.n_system).conj().T,
-                   np.eye(d_b)) @ u
-    if cfg.bath_state == "pure_sample":
-        psi0 = np.zeros(u.shape[0], dtype=complex)
-        psi0[:d_b] = _bath_pure_vector(cfg)
-        infid = float(np.linalg.norm(leak @ psi0) ** 2)
-    else:
-        # initial system state |0...0> occupies the first d_b joint columns
-        infid = float(np.linalg.norm(leak[:, :d_b]) ** 2) / d_b
+    psi0 = np.zeros(u.shape[0], dtype=complex)
+    psi0[:d_b] = _bath_pure_vector(cfg)
+    infid = float(np.linalg.norm(_leak(u, cfg.n_system, d_b) @ psi0) ** 2)
     return min(infid, 1.0)
+
+
+def _sector_infidelity(seq, cfg: BenchConfig, a_value: float) -> float:
+    """1 - <cat|rho_out|cat> for the maximally mixed bath, as the
+    multiplicity-weighted sum over total-spin sectors of each sector's
+    leaked weight, over the 2**n_bath bath states."""
+    infid = 0.0
+    for multiplicity, em in sector_models(cfg, a_value):
+        u = propagate(seq, em)[:, :em.bath_dim]
+        infid += multiplicity * float(
+            np.linalg.norm(_leak(u, cfg.n_system, em.bath_dim)) ** 2)
+    return min(infid / 2 ** cfg.n_bath, 1.0)
 
 
 @dataclass(frozen=True)
@@ -254,14 +328,18 @@ def run_point(cfg: BenchConfig, a_value: float, epsilon: float,
     """Compile, propagate exactly, and score one sweep point.
 
     The loss matches fidelity_loss(output_state(...)) but is evaluated
-    through the leaked amplitudes so values far below 1 stay resolved.
+    through the leaked amplitudes so values far below 1 stay resolved.  A
+    maximally mixed bath is propagated per total-spin sector, a pure sample
+    in the dense joint space.
     """
     t0 = time.perf_counter()
     seq = compile_circuit(cat_circuit(cfg.n_system), mode, cfg.n_system,
                           cfg.tau, cfg.shape, epsilon)
-    em = build_bath_hamiltonian(cfg, a_value)
-    u = propagate(seq, em)
-    infid = _infidelity_from_unitary(u, cfg)
+    if cfg.bath_state == "maximally_mixed":
+        infid = _sector_infidelity(seq, cfg, a_value)
+    else:
+        u = propagate(seq, build_bath_hamiltonian(cfg, a_value))
+        infid = _infidelity_from_unitary(u, cfg)
     loss = float(-np.expm1(0.5 * np.log1p(-infid))) if infid < 1.0 else 1.0
     return BenchmarkRecord(a_value, epsilon, mode, loss, seq.slot_count,
                            time.perf_counter() - t0)

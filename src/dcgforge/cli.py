@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bench import parse_config, sweep
 from .compiler import compile_circuit, parse_gate
-from .dynamics import error_phase, random_error_model
+from .dynamics import check_dense_dim, error_phase, random_error_model
 from .operators import spectral_norm
 from .pulses import SHAPES, format_sequence
 from .verify import run_checks
@@ -117,10 +117,13 @@ def _cmd_epg(args) -> int:
         taus = _parse_tau_sweep(args.tau_sweep)
         if not (np.isfinite(args.coupling) and np.isfinite(args.bath_norm)):
             raise ValueError("--coupling and --bath-norm must be finite")
+        if args.bath_qubits < 0:
+            raise ValueError("--bath-qubits must be >= 0")
+        n_system = max(gate.qubits, default=0) + 1
+        check_dense_dim(n_system + args.bath_qubits)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    n_system = max(gate.qubits, default=0) + 1
     rng = np.random.default_rng(args.seed)
     em = random_error_model(n_system, args.bath_qubits, rng,
                             coupling=args.coupling, bath=args.bath_norm)
@@ -129,6 +132,14 @@ def _cmd_epg(args) -> int:
         for tau in (float(t) for t in taus):
             seq = compile_circuit([gate], args.mode, n_system, tau,
                                   SHAPES[args.shape])
+            phase_bound = em.norm_bound * seq.total_duration
+            if phase_bound >= np.pi:
+                # beyond pi the exact phase is a principal logarithm that
+                # may have wrapped, so it is no longer comparable
+                print(f"warning: tau={tau!r}: norm_bound * duration = "
+                      f"{phase_bound:.3g} >= pi, outside the small-phase "
+                      "regime; epg_exact may be a wrapped phase",
+                      file=sys.stderr)
             report = error_phase(seq, em)
             residual = spectral_norm(report.phi_exact
                                      - report.phi_first_order)

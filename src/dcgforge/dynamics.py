@@ -26,11 +26,29 @@ from .operators import (HermitianEvolution, hermitian_log, is_hermitian,
                         spectral_norm)
 from .pulses import PulseSequence, intended_unitary
 
+# Largest joint dimension the dense routes accept; one complex matrix of
+# this size takes 16 MB, and a propagation holds a few dozen of them.
+MAX_DENSE_DIM = 2 ** 10
+
+
+def check_dense_dim(n_qubits: int, levels: int = 1) -> None:
+    """Reject a joint space of ``levels * 2**n_qubits`` dimensions above
+    MAX_DENSE_DIM, before anything is allocated; the dimension itself is
+    never formed, so an absurd size fails as fast as a small one."""
+    if (n_qubits >= MAX_DENSE_DIM.bit_length()
+            or levels << n_qubits > MAX_DENSE_DIM):
+        raise ValueError(
+            f"joint dimension {levels} * 2**{n_qubits} exceeds the dense "
+            f"limit {MAX_DENSE_DIM}")
+
 
 @dataclass(frozen=True)
 class ErrorModel:
     """Static error Hamiltonian on system (x) bath.
 
+    ``bath_dim`` is the dimension of the bath space: ``2**n`` for a register
+    of ``n`` bath qubits, ``2J+1`` for one total-spin sector of a spin bath.
+    ``h_bath`` and the bath operators are ``bath_dim``-square.
     ``couplings`` holds (system Pauli string, bath operator) pairs; strings
     must be single-qubit unless ``allow_general`` is set (used by decoupling
     counterexamples in tests).  ``norm_bound`` is ||H_B|| + sum ||B_k||, an
@@ -38,14 +56,16 @@ class ErrorModel:
     """
 
     n_system: int
-    n_bath: int
+    bath_dim: int
     h_bath: np.ndarray | None = None
     couplings: tuple[tuple[str, np.ndarray], ...] = ()
     allow_general: bool = False
     norm_bound: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        d_b = 2 ** self.n_bath
+        if self.bath_dim < 1:
+            raise ValueError("bath dimension must be >= 1")
+        d_b = self.bath_dim
         bound = 0.0
         if self.h_bath is not None:
             if self.h_bath.shape != (d_b, d_b):
@@ -69,10 +89,10 @@ class ErrorModel:
 
     @property
     def dim(self) -> int:
-        return 2 ** (self.n_system + self.n_bath)
+        return 2 ** self.n_system * self.bath_dim
 
     def hamiltonian(self) -> np.ndarray:
-        d_s, d_b = 2 ** self.n_system, 2 ** self.n_bath
+        d_s, d_b = 2 ** self.n_system, self.bath_dim
         h = np.zeros((d_s * d_b, d_s * d_b), dtype=complex)
         if self.h_bath is not None:
             h += np.kron(np.eye(d_s), self.h_bath)
@@ -130,7 +150,7 @@ def propagate(seq: PulseSequence, em: ErrorModel,
     ``substeps`` pieces per window.  Repeated windows share exponentials.
     """
     h_err = em.hamiltonian()
-    eye_b = np.eye(2 ** em.n_bath)
+    eye_b = np.eye(em.bath_dim)
     u = np.eye(em.dim, dtype=complex)
     cache: dict = {}
     for key, dt, controls in _walk_windows(seq, substeps, realized=True):
@@ -161,7 +181,7 @@ def first_order_phase(seq: PulseSequence, em: ErrorModel,
     evaluated in closed form in the eigenbasis of the window Hamiltonian.
     """
     h_err = em.hamiltonian()
-    d_s, d_b = 2 ** seq.n_system, 2 ** em.n_bath
+    d_s, d_b = 2 ** seq.n_system, em.bath_dim
     eye_b = np.eye(d_b)
     frame = np.eye(em.dim, dtype=complex)
     phi = np.zeros((em.dim, em.dim), dtype=complex)
@@ -225,7 +245,7 @@ def error_phase(seq: PulseSequence, em: ErrorModel,
     the logarithm's branch guard raises otherwise.
     """
     u_actual = propagate(seq, em, substeps)
-    u_ctrl = np.kron(intended_unitary(seq), np.eye(2 ** em.n_bath))
+    u_ctrl = np.kron(intended_unitary(seq), np.eye(em.bath_dim))
     residual = u_ctrl.conj().T @ u_actual
     # center the spectrum before taking the log: a scalar phase (projective
     # representation artifacts, pure-bath trace) would otherwise push the
@@ -276,4 +296,4 @@ def random_error_model(n_system: int, n_bath: int, rng: np.random.Generator,
             string = "".join(
                 axis if k == i else "i" for k in range(n_system))
             couplings.append((string, herm(coupling)))
-    return ErrorModel(n_system, n_bath, herm(bath), tuple(couplings))
+    return ErrorModel(n_system, d_b, herm(bath), tuple(couplings))

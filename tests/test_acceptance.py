@@ -210,9 +210,9 @@ def test_criterion_7_systematic_error_plateau():
 
 
 def _ode_unitary(seq, em, rtol=1e-11):
-    dim = 2 ** (seq.n_system + em.n_bath)
+    dim = 2 ** seq.n_system * em.bath_dim
     h_err = em.hamiltonian()
-    eye_b = np.eye(2 ** em.n_bath)
+    eye_b = np.eye(em.bath_dim)
     n_sys = seq.n_system
 
     def rhs(t, y):

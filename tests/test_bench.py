@@ -7,10 +7,12 @@ import pytest
 from dcgforge.bench import (BenchConfig, BenchmarkRecord, build_bath_hamiltonian,
                             cat_circuit, cat_state, bath_density, csv_header,
                             fidelity_loss, log_range, output_state,
-                            parse_config, run_point, sweep)
-from dcgforge.compiler import circuit_unitary
+                            parse_config, run_point, sector_models,
+                            spin_matrices, spin_multiplicity, sweep)
+from dcgforge.compiler import circuit_unitary, compile_circuit
+from dcgforge.dynamics import propagate
 from dcgforge.operators import PAULIS, kron_all, spectral_norm
-from dcgforge.pulses import TRIANGULAR
+from dcgforge.pulses import RECTANGULAR, TRIANGULAR
 
 
 def joint_pauli(axis, pos, n_total):
@@ -83,6 +85,105 @@ def test_gamma_has_no_fidelity_effect():
         l0 = run_point(base, 1e-2, 0.0, mode).fidelity_loss
         l5 = run_point(strong, 1e-2, 0.0, mode).fidelity_loss
         assert l0 == pytest.approx(l5, rel=1e-9, abs=1e-12), mode
+
+
+def dense_mixed_loss(cfg, a_value, epsilon, mode):
+    """Maximally mixed loss from the dense joint unitary, through the
+    amplitudes the 2**n_bath columns starting in |0...0> leak out of the
+    cat state; unlike 1 - sqrt(overlap) it resolves losses near 1e-17."""
+    seq = compile_circuit(cat_circuit(cfg.n_system), mode, cfg.n_system,
+                          cfg.tau, cfg.shape, epsilon)
+    u = propagate(seq, build_bath_hamiltonian(cfg, a_value))
+    psi = cat_state(cfg.n_system)
+    d_s, d_b = psi.size, 2 ** cfg.n_bath
+    # each column minus its component along the cat state
+    cols = u[:, :d_b].reshape(d_s, d_b, d_b)
+    overlap = np.tensordot(psi.conj(), cols, axes=(0, 0))
+    leak = cols - psi[:, None, None] * overlap[None]
+    infid = float(np.linalg.norm(leak) ** 2) / d_b
+    return float(-np.expm1(0.5 * np.log1p(-infid)))
+
+
+# (n_bath, n_system, mode, shape, epsilon, gamma, couplings); the smallest
+# dcg couplings reach the ~1e-17 loss floor
+SECTOR_CASES = [
+    (0, 2, "dcg", RECTANGULAR, 1e-3, 1.0, (1e-1,)),
+    (1, 2, "primitive", RECTANGULAR, 0.0, 1.0, (1e-1, 1e-3, 1e-6)),
+    (1, 3, "dcg", RECTANGULAR, 1e-3, 0.0, (1e-1, 1e-4, 10 ** -5.8)),
+    (2, 2, "dcg", RECTANGULAR, 0.0, 2.5, (1e-1, 1e-3, 10 ** -5.8)),
+    (2, 3, "primitive", RECTANGULAR, 1e-3, 1.0, (1e-1, 1e-3, 1e-6)),
+    (3, 2, "primitive", RECTANGULAR, 0.0, 0.0, (1e-1, 1e-4)),
+    (3, 3, "dcg", RECTANGULAR, 0.0, 1.0, (1e-1, 1e-3, 10 ** -5.8)),
+    (3, 3, "dcg", RECTANGULAR, 1e-3, 2.5, (1e-2, 10 ** -5.8)),
+    (1, 2, "dcg", TRIANGULAR, 0.0, 1.0, (1e-1, 10 ** -5.8)),
+    (2, 2, "primitive", TRIANGULAR, 1e-3, 2.5, (1e-2,)),
+    (2, 2, "dcg", TRIANGULAR, 1e-3, 0.0, (1e-3,)),
+    (5, 3, "dcg", RECTANGULAR, 0.0, 1.0, (10 ** -5.8,)),
+    (5, 3, "primitive", RECTANGULAR, 1e-3, 2.5, (1e-1,)),
+]
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_sector_route_matches_dense_route(case):
+    n_bath, n_system, mode, shape, epsilon, gamma, a_values = case
+    cfg = BenchConfig(n_system=n_system, n_bath=n_bath, gamma=gamma,
+                      a_values=a_values, epsilon_values=(epsilon,),
+                      shape=shape)
+    for a_value in a_values:
+        loss = run_point(cfg, a_value, epsilon, mode).fidelity_loss
+        ref = dense_mixed_loss(cfg, a_value, epsilon, mode)
+        assert abs(loss - ref) <= 1e-20 + 1e-6 * ref, (a_value, loss, ref)
+        # the density-matrix oracle, where its 1 - sqrt(overlap) resolves
+        rho = output_state(cfg, a_value, epsilon, mode)
+        assert ref == pytest.approx(fidelity_loss(rho, n_system),
+                                    rel=1e-6, abs=1e-12)
+
+
+def test_spin_multiplicities_count_every_state():
+    for n in range(21):
+        counts = [(spin_multiplicity(n, two_j), two_j + 1)
+                  for two_j in range(n, -1, -2)]
+        assert sum(m * d for m, d in counts) == 2 ** n
+        assert all(m >= 1 for m, _ in counts)
+
+
+def test_spin_matrices_algebra():
+    for two_j in range(7):
+        sx, sy, sz = spin_matrices(two_j)
+        j = two_j / 2
+        assert np.allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-12)
+        casimir = sx @ sx + sy @ sy + sz @ sz
+        assert np.allclose(casimir, j * (j + 1) * np.eye(two_j + 1),
+                           atol=1e-12)
+    # spin 1/2 is half the Pauli vector
+    for axis, s in zip("xyz", spin_matrices(1)):
+        assert np.array_equal(2 * s, PAULIS[axis])
+
+
+def test_sector_models_sizes():
+    cfg = BenchConfig()
+    models = sector_models(cfg, 1e-3)
+    assert [(m, em.bath_dim) for m, em in models] == [(1, 6), (4, 4), (5, 2)]
+    assert all(len(em.couplings) == 9 for _, em in models)
+    assert max(em.dim for _, em in models) == 48
+
+
+def test_sector_route_reaches_large_baths():
+    cfg = BenchConfig(n_bath=12, a_values=(1e-3,))
+    for mode, slots in (("primitive", 14), ("dcg", 224)):
+        rec = run_point(cfg, 1e-3, 0.0, mode)
+        assert 0.0 <= rec.fidelity_loss <= 1.0
+        assert rec.slot_count == slots
+
+
+def test_dense_dimension_guard():
+    with pytest.raises(ValueError):
+        BenchConfig(n_bath=30, bath_state="pure_sample")
+    with pytest.raises(ValueError):
+        BenchConfig(n_system=8, n_bath=4)  # largest sector 256 * 5
+    assert BenchConfig(n_bath=30).n_bath == 30  # largest sector 8 * 31
+    with pytest.raises(ValueError):
+        build_bath_hamiltonian(BenchConfig(n_bath=30), 1e-3)
 
 
 def test_cat_circuit_prepares_cat_state():
@@ -189,7 +290,8 @@ def test_parse_config_errors():
     with pytest.raises(ValueError):
         parse_config("modes = dcg,fancy\n")
     for text in ("gamma = nan\n", "tau = nan\n", "n_system = 0\n",
-                 "a_values = nan\n", "epsilon_values = nan\n"):
+                 "a_values = nan\n", "epsilon_values = nan\n",
+                 "n_bath = -1\n", "n_bath = -1\nbath_state = pure_sample\n"):
         with pytest.raises(ValueError):
             parse_config(text)
 

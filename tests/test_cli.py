@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dcgforge import cli
 from dcgforge.cli import main
 from dcgforge.compiler import compile_circuit, parse_gate
 from dcgforge.pulses import parse_sequence
@@ -54,7 +55,8 @@ def test_sweep_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for text in ("warp_factor = 9\n", "gamma = nan\n", "tau = nan\n",
                  "n_system = 0\n", "a_values = nan\n",
-                 "epsilon_values = nan\n"):
+                 "epsilon_values = nan\n", "n_bath = -1\n",
+                 "n_bath = 30\nbath_state = pure_sample\n"):
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg)]) == 2, text
         captured = capsys.readouterr()
@@ -117,6 +119,42 @@ def test_epg_bad_tau_sweep(capsys):
                  "--tau-sweep", "0.25:0.0625:3", "--coupling", "nan"]) == 2
     assert main(["epg", "--gate", "zz:0,1:0.6", "--mode", "dcg",
                  "--tau-sweep", "0.25:0.0625:3", "--bath-norm", "inf"]) == 2
+
+
+def test_epg_bad_bath_size(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model built for a rejected size")
+
+    monkeypatch.setattr(cli, "random_error_model", refuse)
+    # 13 system + 2 bath qubits: joint dimension 2**15
+    assert main(["epg", "--gate", "x:12:0.5", "--mode", "primitive",
+                 "--tau-sweep", "0.25:0.0625:3"]) == 2
+    assert main(["epg", "--gate", "x:0:0.5", "--mode", "primitive",
+                 "--tau-sweep", "0.1:0.05:2", "--bath-qubits", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("config error") == 2
+    assert captured.out == ""
+
+
+def test_epg_flags_rows_outside_small_phase_regime(capsys):
+    # norm_bound 8 times durations 4 and 8: far beyond pi
+    assert main(["epg", "--gate", "x:0:0.5", "--mode", "primitive",
+                 "--coupling", "2", "--bath-norm", "2",
+                 "--tau-sweep", "4:8:2"]) == 0
+    captured = capsys.readouterr()
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 2
+    assert warnings[0].startswith("warning: tau=4.0:")
+    assert warnings[1].startswith("warning: tau=8.0:")
+    lines = captured.out.splitlines()
+    assert lines[0] == "tau,epg_exact,epg_first_order,residual"
+    assert len(lines) == 3
+    # the default grid on a 3-qubit CNOT peaks at norm_bound * duration 3.0
+    assert main(["epg", "--gate", "cnot:0,2", "--mode", "dcg",
+                 "--tau-sweep", "0.0625:0.0009765625:7"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 8
 
 
 def test_console_script_runs():

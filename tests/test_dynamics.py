@@ -31,9 +31,9 @@ def control_hamiltonian(seq, t, n_system, realized=True):
 
 def solve_ivp_unitary(seq, em, rtol=1e-11):
     """Adaptive integration of dU/dt = -i H(t) U on the joint space."""
-    dim = 2 ** (seq.n_system + em.n_bath)
+    dim = 2 ** seq.n_system * em.bath_dim
     h_err = em.hamiltonian()
-    eye_b = np.eye(2 ** em.n_bath)
+    eye_b = np.eye(em.bath_dim)
 
     def rhs(t, y):
         u = y.reshape(dim, dim)
@@ -52,7 +52,7 @@ def solve_ivp_unitary(seq, em, rtol=1e-11):
 def quadrature_phase(seq, em, steps=4000):
     """Midpoint toggling-frame integral with brute-force Trotter frames."""
     dim_s = 2 ** seq.n_system
-    eye_b = np.eye(2 ** em.n_bath)
+    eye_b = np.eye(em.bath_dim)
     h_err = em.hamiltonian()
     dt = seq.total_duration / steps
     u_ctrl = np.eye(dim_s, dtype=complex)
@@ -72,7 +72,7 @@ def test_error_model_hamiltonian_assembly():
     b1 = 0.5 * (b1 + b1.conj().T)
     hb = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     hb = 0.5 * (hb + hb.conj().T)
-    em = ErrorModel(2, 1, hb, (("xi", b1), ("iz", 2.0 * b1)))
+    em = ErrorModel(2, 2, hb, (("xi", b1), ("iz", 2.0 * b1)))
     expected = (np.kron(np.eye(4), hb)
                 + np.kron(pauli_string_matrix("xi"), b1)
                 + np.kron(pauli_string_matrix("iz"), 2.0 * b1))
@@ -86,15 +86,23 @@ def test_error_model_hamiltonian_assembly():
 def test_error_model_validation():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        ErrorModel(1, 1, bad, ())
+        ErrorModel(1, 2, bad, ())
     herm = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        ErrorModel(2, 1, herm, (("xx", herm),))
-    ErrorModel(2, 1, herm, (("xx", herm),), allow_general=True)
+        ErrorModel(2, 2, herm, (("xx", herm),))
+    ErrorModel(2, 2, herm, (("xx", herm),), allow_general=True)
     with pytest.raises(ValueError):
-        ErrorModel(2, 1, herm, (("x", herm),))
+        ErrorModel(2, 2, herm, (("x", herm),))
     with pytest.raises(ValueError):
-        ErrorModel(1, 1, np.eye(4, dtype=complex), ())
+        ErrorModel(1, 2, np.eye(4, dtype=complex), ())
+
+
+def test_error_model_bath_dimension():
+    # a bath of any dimension, such as one spin-1 sector
+    em = ErrorModel(1, 3, np.eye(3, dtype=complex), (("z", np.eye(3)),))
+    assert em.dim == 6 and em.hamiltonian().shape == (6, 6)
+    with pytest.raises(ValueError):
+        ErrorModel(1, 0)
 
 
 def test_random_error_model_norms():
